@@ -5,7 +5,8 @@ by RDMA networking.  This package models the pieces of that fleet that
 ByteRobust's detection and recovery logic actually observes:
 
 * :mod:`repro.cluster.components` — machines, GPUs, NICs and their
-  health state (DCGM status, Xid events, temperature, link state, ...);
+  health state (DCGM status, Xid events, temperature, link state, ...),
+  held fleet-wide as numpy columns in one ``FleetState``;
 * :mod:`repro.cluster.topology` — a two-level switch fabric so switch
   failures take out machine groups;
 * :mod:`repro.cluster.faults` — the full Table 1 fault taxonomy, fault
@@ -20,6 +21,7 @@ ByteRobust's detection and recovery logic actually observes:
 """
 
 from repro.cluster.components import (
+    FleetState,
     Gpu,
     HostState,
     Machine,
@@ -66,6 +68,7 @@ __all__ = [
     "FaultInjector",
     "FaultSymptom",
     "FleetScheduler",
+    "FleetState",
     "Gpu",
     "HostState",
     "JobRequest",

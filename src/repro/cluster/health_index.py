@@ -1,25 +1,12 @@
-"""Struct-of-arrays health mirror + the substrate mode switch.
+"""The substrate mode switch: scalar loops or numpy masks.
 
-At 100k-GPU scale (~12.5k machines) the per-tick cost of fault/health
-work is dominated by Python loops over machines that have not changed
-since the previous tick.  :class:`HealthIndex` keeps the per-subsystem
-health flags of every machine (and the up/down state of every switch)
-in numpy boolean arrays, so an inspection sweep can find the unhealthy
-candidates in one mask operation instead of one Python call per
-machine.
-
-Correctness rests on the same change tracking the scalar fast path
-already uses: every component write bumps the machine's
-``health_ver`` and the cluster-wide counter, and — once the index is
-attached — appends the owner's id to a *dirty sink*.  :meth:`sync`
-replays only the dirty ids through the exact scalar rollup
-(:meth:`~repro.cluster.components.Machine.component_health`), so the
-arrays are provably equal to what the scalar path would compute, and
-machines that were never written are never touched.
-
-The module also owns the substrate mode switch.  ``"auto"`` (default)
-vectorizes only above :data:`VECTORIZE_MIN_MACHINES` — below that the
-scalar loop wins on constant factors; :func:`force_substrate` pins the
+Fleet-scale fault and health work — hazard draws, inspection sweeps'
+unhealthy-candidate queries, pack placement — has two execution
+paths.  The vectorized one reads whole
+:class:`~repro.cluster.components.FleetState` columns in one numpy
+operation; the scalar one loops in Python and wins on constant factors
+for small populations.  ``"auto"`` (default) vectorizes only at or
+above :data:`VECTORIZE_MIN_MACHINES`; :func:`force_substrate` pins the
 mode for equivalence tests and benchmarks.  Both paths are
 byte-identical by construction (the equivalence suite asserts it), so
 the mode only ever changes wall-clock, never results.
@@ -28,12 +15,7 @@ the mode only ever changes wall-clock, never results.
 from __future__ import annotations
 
 import contextlib
-from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
-
-import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.topology import Cluster
+from typing import Iterator
 
 #: Below this many machines the scalar sweep's constant factors win;
 #: "auto" mode only vectorizes at or above it.
@@ -72,112 +54,3 @@ def use_vectorized(population: int) -> bool:
     if _MODE == "auto":
         return population >= VECTORIZE_MIN_MACHINES
     return _MODE == "vectorized"
-
-
-class HealthIndex:
-    """Numpy mirror of per-machine subsystem health and switch state."""
-
-    def __init__(self, cluster: "Cluster"):
-        self._cluster = cluster
-        n = len(cluster.machines)
-        self.host_ok = np.empty(n, dtype=bool)
-        self.gpus_ok = np.empty(n, dtype=bool)
-        self.nics_ok = np.empty(n, dtype=bool)
-        self.switch_up = np.empty(len(cluster.switches), dtype=bool)
-        #: machine id -> leaf switch id (static after cluster build)
-        self.machine_switch = cluster.switch_id_array()
-        self._dirty_machines: List[int] = []
-        self._dirty_switches: List[int] = []
-        self._version = -1
-        #: (ids copy, intp array) of the last query — sweeps ask about
-        #: the same machine set tick after tick, so the conversion is
-        #: almost always a list compare instead of an O(n) fromiter
-        self._ids_cache: "Tuple[List[int], np.ndarray] | None" = None
-        # route every subsequent component/switch write into the sinks
-        for machine in cluster.machines:
-            machine.__dict__["_dirty_sink"] = self._dirty_machines
-        for switch in cluster.switches:
-            switch.__dict__["_dirty_sink"] = self._dirty_switches
-        self._full_sync()
-
-    # ------------------------------------------------------------------
-    def _full_sync(self) -> None:
-        machines = self._cluster.machines
-        for mid, machine in enumerate(machines):
-            host, gpus, nics = machine.component_health()
-            self.host_ok[mid] = host
-            self.gpus_ok[mid] = gpus
-            self.nics_ok[mid] = nics
-        for sid, switch in enumerate(self._cluster.switches):
-            self.switch_up[sid] = switch.up
-        self._dirty_machines.clear()
-        self._dirty_switches.clear()
-        self._version = self._cluster.health_version()
-
-    def sync(self) -> None:
-        """Fold pending writes into the arrays (no-op when unchanged).
-
-        One integer compare in the clean case; otherwise only the
-        machines/switches whose ids reached the dirty sinks are
-        recomputed — through the same scalar rollup the reference path
-        reads, which is what makes the two paths interchangeable.
-        """
-        version = self._cluster.health_version()
-        if version == self._version:
-            return
-        if self._dirty_machines:
-            machines = self._cluster.machines
-            for mid in set(self._dirty_machines):
-                host, gpus, nics = machines[mid].component_health()
-                self.host_ok[mid] = host
-                self.gpus_ok[mid] = gpus
-                self.nics_ok[mid] = nics
-            self._dirty_machines.clear()
-        if self._dirty_switches:
-            switches = self._cluster.switches
-            for sid in set(self._dirty_switches):
-                self.switch_up[sid] = switches[sid].up
-            self._dirty_switches.clear()
-        self._version = version
-
-    # ------------------------------------------------------------------
-    def _ids_array(self, ids: Sequence[int]) -> np.ndarray:
-        """``ids`` as an intp array, cached by content.
-
-        The cache key is a *copy* of the id list — comparing against
-        the caller's own (possibly mutated-in-place) object would
-        always match and serve a stale array.
-        """
-        cached = self._ids_cache
-        if cached is not None and cached[0] == ids:
-            return cached[1]
-        arr = np.fromiter(ids, dtype=np.intp, count=len(ids))
-        self._ids_cache = (list(ids), arr)
-        return arr
-
-    def unhealthy(self, ids: Sequence[int], subsystem: str) -> List[int]:
-        """Ids (in input order) whose ``subsystem`` rollup is unhealthy.
-
-        ``subsystem`` is one of ``"host_ok" | "gpus_ok" | "nics_ok"`` —
-        the :class:`~repro.cluster.components.ComponentHealth` field
-        names, so the mask can't silently read the wrong slot.
-        """
-        self.sync()
-        arr = self._ids_array(ids)
-        mask: np.ndarray = getattr(self, subsystem)
-        return arr[~mask[arr]].tolist()
-
-    def switches_first_seen(self, ids: Sequence[int]
-                            ) -> List[Tuple[int, bool]]:
-        """``(switch_id, up)`` for the switches the machines hang off,
-        in order of first appearance over ``ids`` — exactly the
-        iteration order the scalar sweep's ``switches_seen`` dict has.
-        """
-        self.sync()
-        arr = self._ids_array(ids)
-        sw = self.machine_switch[arr]
-        uniq, first = np.unique(sw, return_index=True)
-        order = np.argsort(first, kind="stable")
-        sw_ids = uniq[order]
-        ups = self.switch_up[sw_ids]
-        return list(zip(sw_ids.tolist(), ups.tolist()))

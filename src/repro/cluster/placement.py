@@ -127,7 +127,7 @@ class PackPolicy(PlacementPolicy):
     switches as the current free pool allows.
 
     At fleet scale the grouping comes from one numpy pass over the
-    cluster's static machine->switch array instead of a Python dict
+    fleet's static machine->switch column instead of a Python dict
     build per allocation; the selection is identical (the substrate
     equivalence suite pins scalar == vectorized).
     """
@@ -155,7 +155,7 @@ class PackPolicy(PlacementPolicy):
         import numpy as np
         cand = np.sort(np.fromiter(candidates, dtype=np.intp,
                                    count=len(candidates)))
-        sw = cluster.switch_id_array()[cand]
+        sw = cluster.fleet.machine_switch[cand]
         # stable sort by switch keeps each group's machines in
         # ascending-id order, exactly like the dict-of-sorted-lists
         by_switch = np.argsort(sw, kind="stable")

@@ -10,32 +10,33 @@ on their own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
-from repro.cluster.components import Machine, MachineSpec, MachineState
+from repro.cluster.components import FleetState, Machine, MachineSpec
 
 
-@dataclass
 class Switch:
-    """A leaf switch connecting a block of machines."""
+    """A leaf switch connecting a block of machines.
 
-    id: int
-    up: bool = True
-    #: Machines cabled to this switch (ids).
-    machine_ids: List[int] = field(default_factory=list)
+    ``up`` is a view onto :attr:`FleetState.switch_up`; writing it bumps
+    the fleet-wide write counter like any component write.
+    """
 
-    def __setattr__(self, name: str, value) -> None:
-        # switches participate in the cluster-wide change counter so
-        # the inspection fast path can skip provably-unchanged sweeps;
-        # once a HealthIndex is attached, writes also land in its
-        # dirty sink so the switch_up array resyncs incrementally
-        object.__setattr__(self, name, value)
-        cell = self.__dict__.get("_ver_cell")
-        if cell is not None:
-            cell[0] += 1
-            sink = self.__dict__.get("_dirty_sink")
-            if sink is not None:
-                sink.append(self.id)
+    __slots__ = ("id", "machine_ids", "_fleet")
+
+    def __init__(self, id: int, machine_ids: List[int], fleet: FleetState):
+        self.id = id
+        #: Machines cabled to this switch (ids).
+        self.machine_ids = machine_ids
+        self._fleet = fleet
+
+    @property
+    def up(self) -> bool:
+        return self._fleet.switch_up.item(self.id)
+
+    @up.setter
+    def up(self, value: bool) -> None:
+        self._fleet.set_switch(self.id, value)
 
 
 @dataclass(frozen=True)
@@ -62,66 +63,19 @@ class Cluster:
 
     def __init__(self, spec: ClusterSpec):
         self.spec = spec
-        #: One shared change counter for every component in the fleet;
-        #: see :meth:`health_version`.
-        self._ver_cell = [0]
-        #: Lazily-built struct-of-arrays mirror (:meth:`health_index`).
-        self._health_index = None
-        #: Lazily-built machine-id -> switch-id array
-        #: (:meth:`switch_id_array`).
-        self._switch_ids = None
+        n, per = spec.num_machines, spec.machines_per_switch
+        #: The fleet's component health, as numpy columns.
+        self.fleet = FleetState(n, spec.machine_spec.gpus_per_machine,
+                                spec.machine_spec.nics_per_machine, per)
         self.machines: List[Machine] = [
-            Machine(i, spec.machine_spec) for i in range(spec.num_machines)]
-        for machine in self.machines:
-            machine.cluster_ver = self._ver_cell
-        self.switches: List[Switch] = []
-        per = spec.machines_per_switch
-        for sw_id in range(-(-spec.num_machines // per)):
-            ids = list(range(sw_id * per,
-                             min((sw_id + 1) * per, spec.num_machines)))
-            switch = Switch(id=sw_id, machine_ids=ids)
-            switch.__dict__["_ver_cell"] = self._ver_cell
-            self.switches.append(switch)
-            for mid in ids:
-                self.machines[mid].switch_id = sw_id
-
-    def health_version(self) -> int:
-        """Cluster-wide change counter: bumps on *any* component write.
-
-        Equal values across two instants prove no machine or switch
-        state changed in between, which lets periodic sweeps skip
-        re-scanning a provably-unchanged fleet.
-        """
-        return self._ver_cell[0]
-
-    def health_index(self):
-        """The struct-of-arrays health mirror, built on first use.
-
-        Lazy because small clusters (unit tests, single-job scenarios)
-        never take the vectorized path and should not pay the arrays
-        or the dirty-sink bookkeeping on every component write.
-        """
-        index = self._health_index
-        if index is None:
-            from repro.cluster.health_index import HealthIndex
-            index = self._health_index = HealthIndex(self)
-        return index
-
-    def switch_id_array(self):
-        """machine id -> leaf switch id as a numpy intp array.
-
-        Cabling is static after construction, so the array is built
-        once and shared by every consumer that groups machines by
-        switch at fleet scale (vectorized placement, the health
-        index).
-        """
-        arr = self._switch_ids
-        if arr is None:
-            import numpy as np
-            arr = self._switch_ids = np.fromiter(
-                (m.switch_id for m in self.machines), dtype=np.intp,
-                count=len(self.machines))
-        return arr
+            Machine(i, spec.machine_spec, self.fleet) for i in range(n)]
+        for machine, sw_id in zip(self.machines,
+                                  self.fleet.machine_switch.tolist()):
+            machine.switch_id = sw_id
+        self.switches: List[Switch] = [
+            Switch(sw_id, list(range(sw_id * per, min((sw_id + 1) * per, n))),
+                   self.fleet)
+            for sw_id in range(len(self.fleet.switch_up))]
 
     # ------------------------------------------------------------------
     def machine(self, machine_id: int) -> Machine:
@@ -153,9 +107,6 @@ class Cluster:
         return (self.switch_of(machine_id).up
                 and any(n.up for n in machine.nics))
 
-    def machines_in_state(self, state: MachineState) -> List[Machine]:
-        return [m for m in self.machines if m.state == state]
-
     def unhealthy_machines(self,
                            among: Optional[Iterable[int]] = None
                            ) -> List[int]:
@@ -163,11 +114,6 @@ class Cluster:
         return [i for i in ids
                 if not self.machines[i].healthy()
                 or not self.network_reachable(i)]
-
-    def health_snapshot(self) -> Dict[int, bool]:
-        """machine_id → fully-healthy flag, for dashboards/tests."""
-        return {m.id: m.healthy() and self.network_reachable(m.id)
-                for m in self.machines}
 
     @property
     def total_gpus(self) -> int:

@@ -25,6 +25,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.cluster.components import Gpu, HostState, Nic
 from repro.cluster.health_index import use_vectorized
 from repro.cluster.topology import Cluster
 from repro.sim import Simulator
@@ -71,6 +74,51 @@ class InspectionConfig:
                 "host": self.host_interval_s}[category]
 
 
+_HIGH = SignalConfidence.HIGH
+_WARN = SignalConfidence.WARN
+
+#: Per-GPU inspection items, in priority order: each GPU of an
+#: unhealthy machine reports the *first* rule it matches.  A rule maps
+#: the gathered ``[machines, gpus]`` columns to a boolean mask.
+_GPU_RULES = (
+    ("gpu_lost", _HIGH, lambda c: ~c["available"]),
+    ("gpu_driver_hang", _HIGH, lambda c: c["driver_hung"]),
+    ("dcgm_unhealthy", _HIGH, lambda c: ~c["dcgm_healthy"]),
+    ("gpu_memory_error", _HIGH,
+     lambda c: c["hbm_faulty"] | (c["pending_row_remaps"] >= 8)),
+    ("gpu_high_temperature", _WARN,
+     lambda c: c["temperature_c"] >= Gpu.THROTTLE_TEMP_C),
+    ("pcie_degraded", _WARN, lambda c: c["pcie_bandwidth_frac"] < 0.8),
+)
+
+#: Per-host inspection items, first match wins (as for GPUs).
+_HOST_RULES = (
+    ("os_kernel_fault", _HIGH, lambda c: c["kernel_panic"]),
+    ("disk_fault", _HIGH, lambda c: c["disk_faulty"]),
+    ("filesystem_mount", _HIGH, lambda c: ~c["fs_mounted"]),
+    ("container_error", _HIGH, lambda c: ~c["container_healthy"]),
+    ("insufficient_disk_space", _HIGH,
+     lambda c: c["disk_free_gb"] <= HostState.DISK_MIN_FREE_GB),
+    ("cpu_oom", _HIGH,
+     lambda c: c["mem_used_frac"] >= HostState.MEM_OOM_FRAC),
+    ("cpu_overload", _WARN,
+     lambda c: c["cpu_load_frac"] >= HostState.CPU_OVERLOAD_FRAC),
+)
+
+
+def _first_match(rules, columns: Dict[str, np.ndarray],
+                 rows: List[int]) -> list:
+    """1 + index of the first rule each component matches (0: none),
+    as nested Python lists over ``rows`` (and components)."""
+    idx = np.asarray(rows, dtype=np.intp)
+    gathered = {name: col[idx] for name, col in columns.items()}
+    found = np.zeros_like(next(iter(gathered.values())), dtype=np.intp)
+    # later rules first, so an earlier rule's match overwrites them
+    for code in range(len(rules), 0, -1):
+        found[rules[code - 1][2](gathered)] = code
+    return found.tolist()
+
+
 class InspectionEngine:
     """Runs the three inspection loops over a set of machines."""
 
@@ -89,28 +137,24 @@ class InspectionEngine:
         self._last_emit: Dict[Tuple[str, Tuple[int, ...]], float] = {}
         self._tasks: list = []
         self._started = False
-        #: category -> (cluster version, inspected ids) of the last
+        #: the fleet's health columns: sweeps read the per-machine
+        #: rollups and the fleet-wide write counter from here
+        self._fleet = cluster.fleet
+        #: category -> (fleet version, inspected ids) of the last
         #: *clean* sweep; see the fast-path note above the sweeps.
         self._clean_state: Dict[str, Tuple[int, List[int]]] = {}
-        self._health_version = getattr(cluster, "health_version", None)
-        #: struct-of-arrays accessor (None on cluster stubs): the
-        #: vectorized sweeps pull unhealthy-candidate masks from it
-        self._health_index = getattr(cluster, "health_index", None)
 
     def _skip_unchanged(self, category: str, ids: List[int]
                         ) -> Optional[int]:
-        """Cluster version if this sweep must run, None to skip it.
+        """Fleet version if this sweep must run, None to skip it.
 
         A sweep may be skipped only when the previous sweep over the
         *same machines* found every inspected component healthy and the
-        cluster-wide change counter proves nothing was written since:
-        a clean sweep is a pure read, so re-running it cannot emit,
+        fleet-wide write counter proves nothing was written since: a
+        clean sweep is a pure read, so re-running it cannot emit,
         strike, or dedup anything.
         """
-        version = self._health_version
-        if version is None:          # cluster stub without the counter
-            return -1
-        ver = version()
+        ver = self._fleet.version
         state = self._clean_state.get(category)
         if state is not None and state[0] == ver and state[1] == ids:
             return None
@@ -118,7 +162,7 @@ class InspectionEngine:
 
     def _mark_clean(self, category: str, ver: int, ids: List[int],
                     clean: bool) -> None:
-        if clean and ver >= 0:
+        if clean:
             self._clean_state[category] = (ver, list(ids))
         else:
             self._clean_state.pop(category, None)
@@ -179,38 +223,37 @@ class InspectionEngine:
             fn(event)
 
     # ------------------------------------------------------------------
-    # Sweeps find their unhealthy candidates through the change-tracked
-    # health state and only walk the per-component checks on machines
-    # whose subsystem is actually unhealthy — a healthy machine's sweep
-    # is a pure read, so skipping it cannot change any emission.  Above
-    # the vectorization threshold the candidates come from one numpy
-    # mask over the cluster's struct-of-arrays health index; below it,
-    # from the scalar O(1) rollup per machine.  Either way unhealthy
-    # machines take the exact seed code path, so event content,
-    # deduplication, and ordering are byte-identical across scalar,
-    # vectorized, and seed modes.
+    # Sweeps find their unhealthy candidates in the fleet's health
+    # rollups and classify only those machines — a healthy machine's
+    # sweep is a pure read, so skipping it cannot change any emission.
+    # Above the vectorization threshold the candidates come from one
+    # numpy mask over the rollup column; below it, from a Python loop
+    # over the same column.  The candidates are then classified from
+    # the component columns by the rule tables above, whose priority
+    # order is the seed sweeps' ``elif`` chains
+    # (:mod:`repro.perf.baseline`), so event content, deduplication,
+    # and ordering are byte-identical across scalar, vectorized, and
+    # seed modes.
     def _unhealthy_among(self, ids: List[int], subsystem: str
                          ) -> List[int]:
         """Ids (in input order) whose subsystem rollup is unhealthy."""
-        if self._health_index is not None and use_vectorized(len(ids)):
-            return self._health_index().unhealthy(ids, subsystem)
-        machines = self.cluster.machines
-        return [mid for mid in ids
-                if not getattr(machines[mid].component_health(),
-                               subsystem)]
+        if use_vectorized(len(ids)):
+            return self._fleet.unhealthy(ids, subsystem)
+        ok = getattr(self._fleet, subsystem).item
+        return [mid for mid in ids if not ok(mid)]
 
     def _switches_first_seen(self, ids: List[int]
                              ) -> List[Tuple[int, bool]]:
         """``(switch_id, up)`` in first-appearance order over ``ids``."""
-        if self._health_index is not None and use_vectorized(len(ids)):
-            return self._health_index().switches_first_seen(ids)
+        if use_vectorized(len(ids)):
+            return self._fleet.switches_first_seen(ids)
         machines = self.cluster.machines
-        switches = self.cluster.switches
+        up = self._fleet.switch_up.item
         seen: Dict[int, bool] = {}
         for mid in ids:
-            sw = switches[machines[mid].switch_id]
-            if sw.id not in seen:
-                seen[sw.id] = sw.up
+            sw_id = machines[mid].switch_id
+            if sw_id not in seen:
+                seen[sw_id] = up(sw_id)
         return list(seen.items())
 
     def _sweep_network(self) -> None:
@@ -218,22 +261,31 @@ class InspectionEngine:
         ver = self._skip_unchanged("network", ids)
         if ver is None:
             return
-        machines = self.cluster.machines
         unhealthy = self._unhealthy_among(ids, "nics_ok")
         clean = not unhealthy
-        for mid in unhealthy:
-            machine = machines[mid]
-            if any(not nic.up for nic in machine.nics):
-                self._emit("nic_crash", "network",
-                           SignalConfidence.NETWORK, [mid])
-            if any(nic.flapping or nic.packet_loss_rate
-                   >= nic.FLAP_LOSS_THRESHOLD for nic in machine.nics):
-                self._emit("port_flapping", "network",
-                           SignalConfidence.NETWORK, [mid])
-        switches_seen = self._switches_first_seen(ids)
+        if unhealthy:
+            nic = self._fleet.nic
+            rows = np.asarray(unhealthy, dtype=np.intp)
+            down = (~nic["up"][rows]).any(axis=1).tolist()
+            flapping = (nic["flapping"][rows]
+                        | (nic["packet_loss_rate"][rows]
+                           >= Nic.FLAP_LOSS_THRESHOLD)).any(axis=1).tolist()
+            for mid, is_down, is_flapping in zip(unhealthy, down, flapping):
+                if is_down:
+                    self._emit("nic_crash", "network",
+                               SignalConfidence.NETWORK, [mid])
+                if is_flapping:
+                    self._emit("port_flapping", "network",
+                               SignalConfidence.NETWORK, [mid])
+        # with every switch up and no strike pending, the switch pass
+        # below is a no-op, whichever switches the machines hang off
+        switches_seen = (self._switches_first_seen(ids)
+                         if self._switch_strikes
+                         or not self._fleet.switch_up.all() else ())
         if any(not up for _, up in switches_seen):
             clean = False
         self._mark_clean("network", ver, ids, clean)
+        inspected = None
         for sw_id, up in switches_seen:
             if up:
                 self._switch_strikes.pop(sw_id, None)
@@ -241,9 +293,11 @@ class InspectionEngine:
             strikes = self._switch_strikes.get(sw_id, 0) + 1
             self._switch_strikes[sw_id] = strikes
             if strikes >= self.config.switch_consecutive:
-                affected = [m.id for m in
-                            self.cluster.machines_on_switch(sw_id)
-                            if m.id in set(self._machine_ids())]
+                if inspected is None:
+                    inspected = set(ids)
+                affected = [mid for mid in
+                            self.cluster.switches[sw_id].machine_ids
+                            if mid in inspected]
                 self._emit("switch_down", "network",
                            SignalConfidence.NETWORK, affected,
                            switch_id=sw_id)
@@ -253,60 +307,26 @@ class InspectionEngine:
         ver = self._skip_unchanged("gpu", ids)
         if ver is None:
             return
-        machines = self.cluster.machines
         unhealthy = self._unhealthy_among(ids, "gpus_ok")
-        clean = not unhealthy
-        for mid in unhealthy:
-            machine = machines[mid]
-            for gpu in machine.gpus:
-                if not gpu.available:
-                    self._emit("gpu_lost", "gpu", SignalConfidence.HIGH,
-                               [mid])
-                elif gpu.driver_hung:
-                    self._emit("gpu_driver_hang", "gpu",
-                               SignalConfidence.HIGH, [mid])
-                elif not gpu.dcgm_healthy:
-                    self._emit("dcgm_unhealthy", "gpu",
-                               SignalConfidence.HIGH, [mid])
-                elif gpu.hbm_faulty or gpu.pending_row_remaps >= 8:
-                    self._emit("gpu_memory_error", "gpu",
-                               SignalConfidence.HIGH, [mid])
-                elif gpu.overheating:
-                    self._emit("gpu_high_temperature", "gpu",
-                               SignalConfidence.WARN, [mid])
-                elif gpu.pcie_bandwidth_frac < 0.8:
-                    self._emit("pcie_degraded", "gpu",
-                               SignalConfidence.WARN, [mid])
-        self._mark_clean("gpu", ver, ids, clean)
+        if unhealthy:
+            findings = _first_match(_GPU_RULES, self._fleet.gpu, unhealthy)
+            for mid, per_gpu in zip(unhealthy, findings):
+                for rule in per_gpu:
+                    if rule:
+                        item, confidence, _ = _GPU_RULES[rule - 1]
+                        self._emit(item, "gpu", confidence, [mid])
+        self._mark_clean("gpu", ver, ids, not unhealthy)
 
     def _sweep_host(self) -> None:
         ids = self._machine_ids()
         ver = self._skip_unchanged("host", ids)
         if ver is None:
             return
-        machines = self.cluster.machines
         unhealthy = self._unhealthy_among(ids, "host_ok")
-        clean = not unhealthy
-        for mid in unhealthy:
-            host = machines[mid].host
-            if host.kernel_panic:
-                self._emit("os_kernel_fault", "host", SignalConfidence.HIGH,
-                           [mid])
-            elif host.disk_faulty:
-                self._emit("disk_fault", "host", SignalConfidence.HIGH,
-                           [mid])
-            elif not host.fs_mounted:
-                self._emit("filesystem_mount", "host",
-                           SignalConfidence.HIGH, [mid])
-            elif not host.container_healthy:
-                self._emit("container_error", "host",
-                           SignalConfidence.HIGH, [mid])
-            elif host.disk_free_gb <= host.DISK_MIN_FREE_GB:
-                self._emit("insufficient_disk_space", "host",
-                           SignalConfidence.HIGH, [mid])
-            elif host.mem_used_frac >= host.MEM_OOM_FRAC:
-                self._emit("cpu_oom", "host", SignalConfidence.HIGH, [mid])
-            elif host.cpu_load_frac >= host.CPU_OVERLOAD_FRAC:
-                self._emit("cpu_overload", "host", SignalConfidence.WARN,
-                           [mid])
-        self._mark_clean("host", ver, ids, clean)
+        if unhealthy:
+            findings = _first_match(_HOST_RULES, self._fleet.host, unhealthy)
+            for mid, rule in zip(unhealthy, findings):
+                if rule:
+                    item, confidence, _ = _HOST_RULES[rule - 1]
+                    self._emit(item, "host", confidence, [mid])
+        self._mark_clean("host", ver, ids, not unhealthy)

@@ -168,8 +168,9 @@ def _substrate_once(machines: int, iters: int, mode: str
         tick_s = 300.0
 
         def on_hit(mid: int) -> None:
-            # a tracked write: the hit machine's GPU starts overheating,
-            # so subsequent sweeps have a real unhealthy candidate
+            # a write through a view: the hit machine's GPU starts
+            # overheating, so later sweeps have a real unhealthy
+            # candidate
             cluster.machines[mid].gpus[0].temperature_c = 95.0
 
         hazard = MachineHazardProcess(
@@ -180,16 +181,17 @@ def _substrate_once(machines: int, iters: int, mode: str
 
         def round_(i: int) -> None:
             hazard._tick()
-            # dirty one machine per pass so the version fast path can
-            # never skip a sweep — the bench measures the scan, not the
-            # skip
+            # write one machine per pass so the fleet write counter
+            # never lets a sweep skip — the bench measures the scan,
+            # not the skip
             hosts[i % machines].cpu_load_frac = 0.99 if i % 2 else 0.10
             engine._sweep_network()
             engine._sweep_gpu()
             engine._sweep_host()
 
-        # warm-up: one-time setup (index build, rollup caches) is
-        # scenario start-up cost, not per-tick substrate cost
+        # warm-up: one-time setup (view construction, first-touch
+        # allocations) is scenario start-up cost, not per-tick
+        # substrate cost
         round_(0)
         t0 = time.perf_counter()
         for i in range(1, iters + 1):
@@ -206,8 +208,8 @@ def bench_fault_health_substrate(machines: int = 8_192, iters: int = 60,
 
     Drives ``iters`` rounds of hazard sampling plus all three inspection
     sweeps over a ``machines``-wide fleet, once with the substrate
-    pinned scalar (per-machine ``rng.random()`` and ``component_health``
-    calls) and once vectorized (one batched ``Generator`` draw, one
+    pinned scalar (per-machine ``rng.random()`` draws and rollup-column
+    reads) and once vectorized (one batched ``Generator`` draw, one
     boolean-mask scan per sweep).  Both passes are byte-identical —
     same hit schedule, same emissions (asserted below) — so the ratio
     is a pure speed measurement.  ``events`` counts machine-scans

@@ -60,8 +60,9 @@ class TestComponents:
     def test_component_summary(self):
         m = make_cluster().machine(0)
         m.nics[0].up = False
-        summary = m.component_summary()
-        assert summary == {"gpus": True, "nics": False, "host": True}
+        summary = m.component_health()
+        assert summary == (True, True, False)
+        assert not summary.nics_ok and summary.gpus_ok and summary.host_ok
 
 
 class TestTopology:

@@ -93,6 +93,29 @@ class TestInspectionEngine:
         assert down and down[0].time == 60.0
         assert down[0].machine_ids == [0, 1, 2, 3]
 
+    def test_switch_down_sweep_reads_machine_ids_once(self):
+        """The switch-down sweep asks for the inspected machines once,
+        not once per machine on the downed switch."""
+        cluster = Cluster(ClusterSpec(num_machines=16,
+                                      machines_per_switch=8))
+        calls = []
+
+        def ids():
+            calls.append(1)
+            return list(range(12))
+
+        engine = InspectionEngine(Simulator(), cluster, ids)
+        cluster.switches[0].up = False
+        cluster.switches[1].up = False
+        events = []
+        engine.add_listener(events.append)
+        for _ in range(engine.config.switch_consecutive):
+            calls.clear()
+            engine._sweep_network()
+            assert len(calls) == 1
+        assert [(e.switch_id, e.machine_ids) for e in events] == [
+            (0, list(range(8))), (1, list(range(8, 12)))]
+
     def test_switch_recovery_resets_strikes(self):
         sim, cluster, inj, _ = setup_env()
         engine, events = self.make_engine(sim, cluster)

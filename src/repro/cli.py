@@ -486,8 +486,10 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         from repro.experiments import ScenarioError
         from repro.perf.profile import format_profile, profile_scenario
 
+        overrides = _parse_assignments(args.set, split_values=False)
         try:
-            payload = profile_scenario(args.profile, top=args.top)
+            payload = profile_scenario(args.profile, params=overrides,
+                                       top=args.top)
         except ScenarioError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -796,6 +798,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=25,
                    help="rows in the --profile hotspot table "
                         "(default: 25)")
+    p.add_argument("--set", action="append", default=[],
+                   metavar="KEY=VALUE",
+                   help="--profile: override one scenario parameter "
+                        "(repeatable), as for `repro run`")
     p.set_defaults(func=_cmd_perf)
 
     p = sub.add_parser("standby-size", help="P99 standby pool sizing")

@@ -84,13 +84,20 @@ def intra_job_switch_spans(cluster: Cluster, topology,
     return spans
 
 
+def _id_list(ids: Sequence[int]) -> List[int]:
+    """Python ints from a list or an int array: selections land in
+    JSON payloads."""
+    return ids.tolist() if hasattr(ids, "tolist") else list(ids)
+
+
 class PlacementPolicy:
     """Chooses which free machines an allocation gets.
 
     ``select`` receives the usable candidates (sorted ascending, FREE
-    and not blacklisted) and must return exactly ``count`` of them as
-    a sorted list.  Policies never mutate pool state — the pool
-    executes the choice.
+    and not blacklisted) as a list or an int array — the pool passes
+    its ``usable_ids()`` array — and must return exactly ``count`` of
+    them as a sorted list of Python ints.  Policies never mutate pool
+    state — the pool executes the choice.
     """
 
     name = "base"
@@ -115,7 +122,7 @@ class AnyFreePolicy(PlacementPolicy):
 
     def select(self, cluster: Cluster, candidates: Sequence[int],
                count: int) -> List[int]:
-        return list(candidates[:count])
+        return _id_list(candidates[:count])
 
 
 class PackPolicy(PlacementPolicy):
@@ -139,7 +146,7 @@ class PackPolicy(PlacementPolicy):
         from repro.cluster.health_index import use_vectorized
         if use_vectorized(len(candidates)):
             return self._select_vectorized(cluster, candidates, count)
-        groups = machines_by_switch(cluster, candidates)
+        groups = machines_by_switch(cluster, _id_list(candidates))
         order = sorted(groups, key=lambda sw: (-len(groups[sw]), sw))
         chosen: List[int] = []
         for sw in order:
@@ -153,8 +160,8 @@ class PackPolicy(PlacementPolicy):
     def _select_vectorized(cluster: Cluster, candidates: Sequence[int],
                            count: int) -> List[int]:
         import numpy as np
-        cand = np.sort(np.fromiter(candidates, dtype=np.intp,
-                                   count=len(candidates)))
+        # candidates arrive sorted; the pool's are already an array
+        cand = np.asarray(candidates, dtype=np.intp)
         sw = cluster.fleet.machine_switch[cand]
         # stable sort by switch keeps each group's machines in
         # ascending-id order, exactly like the dict-of-sorted-lists
@@ -189,7 +196,7 @@ class SpreadPolicy(PlacementPolicy):
 
     def select(self, cluster: Cluster, candidates: Sequence[int],
                count: int) -> List[int]:
-        groups = machines_by_switch(cluster, candidates)
+        groups = machines_by_switch(cluster, _id_list(candidates))
         queues = [groups[sw] for sw in sorted(groups)]
         chosen: List[int] = []
         while len(chosen) < count:

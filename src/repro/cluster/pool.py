@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set
+from typing import Callable, Iterable, List, Optional, Set
+
+import numpy as np
 
 from repro.cluster.components import MachineState
 from repro.cluster.placement import AnyFreePolicy, PlacementPolicy
@@ -102,6 +104,14 @@ class MachinePool:
     The pool is deliberately mechanism-only: *when* to evict and *how
     many* standbys to keep are policy decisions made by the controller
     (:mod:`repro.controller.standby`); the pool executes them.
+
+    It is also the one owner of *usable* capacity — FREE and not
+    blacklisted.  Every transition keeps a boolean ``usable`` column
+    and its count current, so :meth:`usable_count` is O(1) and
+    :meth:`usable_ids` is one ``flatnonzero``; callers outside this
+    module read those and change ``free``/``blacklist`` only through
+    pool methods (:meth:`block`/:meth:`unblock` for capacity taken
+    away without a repair).
     """
 
     def __init__(self, sim: Simulator, cluster: Cluster,
@@ -124,6 +134,10 @@ class MachinePool:
         self.evicted: Set[int] = set()
         self.blacklist: Set[int] = set()
         self.free: Set[int] = {m.id for m in cluster.machines}
+        #: ``usable[mid]`` is ``mid in free and mid not in blacklist``
+        #: (machine ids index the fleet's columns).
+        self._usable = np.ones(len(cluster.machines), dtype=bool)
+        self._usable_count = len(cluster.machines)
         #: Called with the machine id whenever a standby becomes ready.
         self.on_standby_ready: Optional[Callable[[int], None]] = None
         #: Called with the machine id when offline repair completes —
@@ -155,14 +169,11 @@ class MachinePool:
         return chosen
 
     def _take_free(self, count: int) -> List[int]:
-        # set difference in C, then one sort: at fleet scale this runs
-        # on every allocation over ~10k free machines, so the Python-
-        # level filter genexp it replaced was a per-dispatch hotspot
-        usable = sorted(self.free - self.blacklist)
-        if len(usable) < count:
+        if self._usable_count < count:
             raise InsufficientMachines(
-                f"need {count} machines, only {len(usable)} free")
-        chosen = self.placement.select(self.cluster, usable, count)
+                f"need {count} machines, only {self._usable_count} free")
+        chosen = self.placement.select(self.cluster, self.usable_ids(),
+                                       count)
         # validate in O(chosen), not by materializing usable as a set
         if (len(set(chosen)) != count
                 or not all(m in self.free and m not in self.blacklist
@@ -172,7 +183,38 @@ class MachinePool:
                 f"placement policy {self.placement.name!r} returned an "
                 f"invalid selection ({len(chosen)} of {count} asked)")
         self.free.difference_update(chosen)
+        self._usable[chosen] = False
+        self._usable_count -= count
         return chosen
+
+    def usable_count(self) -> int:
+        """How many machines an allocation could take right now."""
+        return self._usable_count
+
+    def usable_ids(self) -> np.ndarray:
+        """The usable machine ids, ascending, as an int array."""
+        return np.flatnonzero(self._usable)
+
+    def _refresh(self, mid: int) -> None:
+        """Re-derive ``usable[mid]`` after ``free``/``blacklist``
+        changed for ``mid``."""
+        now = mid in self.free and mid not in self.blacklist
+        if now != self._usable[mid]:
+            self._usable[mid] = now
+            self._usable_count += 1 if now else -1
+
+    def block(self, machine_ids: Iterable[int]) -> None:
+        """Make machines unallocatable without a repair detour
+        (capacity reclaimed from outside, e.g. spot churn)."""
+        for mid in machine_ids:
+            self.blacklist.add(mid)
+            self._refresh(mid)
+
+    def unblock(self, machine_ids: Iterable[int]) -> None:
+        """Lift :meth:`block`: FREE machines become allocatable."""
+        for mid in machine_ids:
+            self.blacklist.discard(mid)
+            self._refresh(mid)
 
     def _set_state(self, mid: int, state: MachineState) -> None:
         self.cluster.machine(mid).state = state
@@ -242,6 +284,7 @@ class MachinePool:
             self.standby_idle_machine_seconds += idle
             self._set_state(mid, MachineState.FREE)
             self.free.add(mid)
+            self._refresh(mid)
         return sorted(chosen)
 
     @property
@@ -266,6 +309,7 @@ class MachinePool:
             self.active.discard(mid)
             self._set_state(mid, MachineState.FREE)
             self.free.add(mid)
+            self._refresh(mid)
 
     # ------------------------------------------------------------------
     # eviction & repair
@@ -281,6 +325,7 @@ class MachinePool:
             self.evicted.add(mid)
             if blacklist:
                 self.blacklist.add(mid)
+                self._refresh(mid)
             self._set_state(mid, MachineState.BLACKLISTED if blacklist
                             else MachineState.EVICTED)
             self._send_to_repair(mid)
@@ -301,6 +346,7 @@ class MachinePool:
                              MachineState.PROVISIONING):
             self._set_state(mid, MachineState.FREE)
             self.free.add(mid)
+        self._refresh(mid)
 
     # ------------------------------------------------------------------
     def counts(self) -> dict:

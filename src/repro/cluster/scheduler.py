@@ -290,7 +290,7 @@ class FleetScheduler:
 
     # ------------------------------------------------------------------
     def available_machines(self) -> int:
-        return len(self.pool.free - self.pool.blacklist)
+        return self.pool.usable_count()
 
     def _head_reservation(self, head_need: int
                           ) -> Tuple[Optional[float], int]:

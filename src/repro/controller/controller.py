@@ -570,7 +570,7 @@ class RobustController:
         needed = len(evicted) - len(acquired)
         from_free = 0
         if needed > 0:
-            available = len(self.pool.free - self.pool.blacklist)
+            available = self.pool.usable_count()
             take = min(needed, available)
             if take > 0:
                 acquired.extend(self.pool.allocate_active(take))
@@ -734,7 +734,7 @@ class RobustController:
         deficit = target - (self.pool.standby_count
                             + len(self.pool.provisioning))
         if deficit > 0:
-            available = len(self.pool.free - self.pool.blacklist)
+            available = self.pool.usable_count()
             if available > 0:
                 self.pool.provision_standbys(min(deficit, available))
 

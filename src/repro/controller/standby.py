@@ -205,7 +205,7 @@ class StandbyResizer:
         if abs(target - supply) <= self.config.hysteresis:
             return 0
         if target > supply:
-            free = len(self.pool.free - self.pool.blacklist)
+            free = self.pool.usable_count()
             grow = min(target - supply, free)
             if grow > 0:
                 self.pool.provision_standbys(grow)

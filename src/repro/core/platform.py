@@ -503,7 +503,7 @@ class TrainingPlatform:
         # a capacity-capped provisioning is recorded, not dropped
         self.standby_target = self.config.standby.standby_count(
             len(self.pool.active))
-        available = len(self.pool.free - self.pool.blacklist)
+        available = self.pool.usable_count()
         self.standby_provisioned = min(self.standby_target, available)
         if self.standby_provisioned > 0:
             self.pool.provision_standbys(self.standby_provisioned)
@@ -735,7 +735,7 @@ class TrainingPlatform:
         abort = new_par is None or new_size == old_size
         if not abort and new_size > old_size:
             # the free capacity the scheduler saw may be gone by now
-            avail = len(self.pool.free - self.pool.blacklist)
+            avail = self.pool.usable_count()
             abort = avail < new_size - old_size
         if abort:
             managed.is_resizing = False

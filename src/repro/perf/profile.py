@@ -39,13 +39,16 @@ def profile_scenario(scenario: str,
     """Run ``scenario`` once under cProfile; top-``top`` by cumtime.
 
     The scenario is built and run exactly as ``repro run`` would
-    (registered defaults plus ``params`` overrides); the profiler
-    wraps only the build+run, not registry lookup or imports.
+    (registered defaults plus ``params`` overrides, coerced through
+    its ParamSpecs, so unknown names raise :class:`ScenarioError`);
+    the profiler wraps only the build+run, not registry lookup or
+    imports.
     """
     from repro.experiments.registry import get_scenario
 
     handle = get_scenario(scenario)
-    overrides = dict(params or {})
+    resolved = handle.resolve(params)
+    overrides = {key: resolved[key] for key in params or {}}
     profiler = cProfile.Profile()
     profiler.enable()
     handle.build(**overrides).run()

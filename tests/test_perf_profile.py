@@ -62,3 +62,21 @@ def test_cli_perf_profile(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert data["schema"] == PROFILE_SCHEMA_VERSION
     assert data["rows"]
+
+
+def test_cli_perf_profile_set_overrides_reach_payload(tmp_path, capsys):
+    out_file = tmp_path / "profile.json"
+    assert main(["perf", "--profile", "standby-sizing", "--top", "3",
+                 "--set", "machines=64", "--set", "quantile=0.9",
+                 "--output", str(out_file)]) == 0
+    capsys.readouterr()
+    data = json.loads(out_file.read_text())
+    # coerced through the scenario's ParamSpecs, as `repro run --set`
+    assert data["params"] == {"machines": 64, "quantile": 0.9}
+
+
+def test_cli_perf_profile_unknown_set_key_exits_2(capsys):
+    assert main(["perf", "--profile", "standby-sizing",
+                 "--set", "no_such_param=1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no_such_param" in err

@@ -14,7 +14,14 @@ Three layers under test:
   the simulator's coalesced tick path.
 """
 
+import itertools
+import json
+import random
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import (
     Cluster,
@@ -26,6 +33,8 @@ from repro.cluster import (
     placement_policy_names,
     switch_span,
 )
+from repro.cluster.health_index import force_substrate
+from repro.cluster.pool import InsufficientMachines
 from repro.cluster.placement import (
     AnyFreePolicy,
     PackPolicy,
@@ -91,11 +100,21 @@ class TestPolicies:
 
     def test_policies_return_sorted_counts(self):
         cluster = make_cluster()
-        for name in placement_policy_names():
-            chosen = make_placement_policy(name).select(
-                cluster, list(range(16)), 7)
+        candidates = [0, 2, 3, 5, 6, 7, 9, 10, 12, 13, 14, 15]
+        for name, mode in itertools.product(placement_policy_names(),
+                                            ("scalar", "vectorized")):
+            policy = make_placement_policy(name)
+            with force_substrate(mode):
+                chosen = policy.select(cluster, candidates, 7)
+                # the pool passes its usable ids as an int array
+                from_array = policy.select(
+                    cluster, np.array(candidates, dtype=np.int64), 7)
             assert len(chosen) == 7
             assert chosen == sorted(chosen)
+            assert from_array == chosen
+            for selection in (chosen, from_array):
+                assert all(type(mid) is int for mid in selection)
+                assert json.loads(json.dumps(selection)) == chosen
 
     def test_unknown_policy_rejected_with_candidates(self):
         with pytest.raises(PlacementError, match="any-free"):
@@ -153,6 +172,71 @@ class TestPoolRouting:
         with pytest.raises(PlacementError):
             TrainingPlatform(total_machines=8,
                              config=PlatformConfig(placement="nope"))
+
+
+POOL_OPS = ("allocate", "provision", "take", "release",
+            "release_standbys", "evict", "block", "unblock", "break",
+            "advance", "repair")
+
+
+@pytest.mark.parametrize("policy", placement_policy_names())
+@given(ops=st.lists(st.tuples(st.sampled_from(POOL_OPS),
+                              st.integers(1, 6), st.integers(0, 2**16)),
+                    min_size=20, max_size=60))
+@settings(max_examples=60, deadline=None)
+def test_usable_capacity_tracks_free_minus_blacklist(policy, ops):
+    """The pool's running usable count and id list stay equal to
+    ``free - blacklist`` through any interleaving of its transitions,
+    repairs (with failed self-checks) and spot-style blocks included."""
+    sim, cluster, pool = make_pool(
+        machines=24, per_switch=4,
+        placement=make_placement_policy(policy))
+    machines = range(len(cluster.machines))
+    for op, count, seed in ops:
+        rng = random.Random(seed)
+
+        def some(ids):
+            ids = sorted(ids)
+            return sorted(rng.sample(ids, rng.randint(min(1, len(ids)),
+                                                      len(ids))))
+
+        if op == "allocate":
+            if count <= pool.usable_count():
+                assert len(pool.allocate_active(count)) == count
+            else:
+                with pytest.raises(InsufficientMachines):
+                    pool.allocate_active(count)
+        elif op == "provision":
+            if count <= pool.usable_count():
+                pool.provision_standbys(count)
+        elif op == "take":
+            pool.take_standbys(count)
+        elif op == "release":
+            pool.release(some(pool.active))
+        elif op == "release_standbys":
+            pool.release_standbys(count)
+        elif op == "evict":
+            # mostly job machines, sometimes any machine at all
+            pool.evict(some(pool.active | pool.standby)
+                       if seed % 4 else some(machines),
+                       blacklist=bool(seed % 3))
+        elif op == "block":
+            pool.block(some(pool.usable_ids().tolist()))
+        elif op == "unblock":
+            pool.unblock(some(pool.blacklist))
+        elif op == "break":
+            # a broken machine fails its standby self-check → repair
+            cluster.machine(seed % len(machines)).host.kernel_panic = True
+        elif op == "advance":
+            # mid-build, or past the standby build + self-check
+            sim.run(until=sim.now + (
+                60.0, pool.times.pod_build_s
+                + pool.times.self_check_s)[count % 2])
+        else:
+            sim.run(until=sim.now + pool.times.repair_s + 1.0)
+        expected = sorted(pool.free - pool.blacklist)
+        assert pool.usable_count() == len(expected)
+        assert pool.usable_ids().tolist() == expected
 
 
 class TestReleaseStandbys:

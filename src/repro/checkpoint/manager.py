@@ -8,6 +8,12 @@ Runtime behaviour (Sec. 6.3 / Sec. 7 "High-Frequency Checkpointing"):
   on the cross-group peer machine;
 * dual-buffering means a failure mid-save never corrupts the previous
   checkpoint — the latest *completed* step is always recoverable;
+* every slot saves the same step at the same time, so one durable
+  ``(local_step, backup_step)`` pair describes all of them.  A save
+  only ever raises it, so instead of queueing an event per durability
+  mark the manager keeps the mark's place in the event order
+  (:meth:`~repro.sim.engine.Simulator.stamp`) and applies it, as a
+  ``max``, the next time it reads the pair;
 * a remote persist runs every ``remote_every_steps`` as a last-resort
   tier (kept off the hot restart path);
 * on recovery, each rank prefers local CPU memory, then its backup
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.checkpoint.planner import BackupPlan, plan_cross_group_backup
 from repro.checkpoint.storage import StorageTiers
@@ -49,12 +55,8 @@ class RecoveryDecision:
     lost_steps: int = 0
 
 
-@dataclass
-class _SlotCheckpointState:
-    """Durable checkpoint steps for the ranks of one machine slot."""
-
-    local_step: int = -1       # in host memory of the slot's machine
-    backup_step: int = -1      # on the cross-group peer machine
+#: durability tiers a mark raises
+_LOCAL, _BACKUP, _REMOTE = range(3)
 
 
 class CheckpointManager:
@@ -71,25 +73,29 @@ class CheckpointManager:
         self.strategy = strategy or ByteRobustSave()
         self.remote_every_steps = remote_every_steps
         self.plan: BackupPlan = plan_cross_group_backup(job.topology)
-        self.slot_states: Dict[int, _SlotCheckpointState] = {
-            slot: _SlotCheckpointState()
-            for slot in range(job.num_machines)}
-        self.remote_step: int = -1
+        #: durable step in each slot machine's host memory
+        self._local_step = -1
+        #: durable step on each slot's cross-group peer machine
+        self._backup_step = -1
+        self._remote_step = -1
+        #: (stamp, tier, step) durability marks not yet applied
+        self._marks: List[Tuple[Tuple[float, int, int], int, int]] = []
         self.saves_started = 0
         self.enabled = True
-        #: (effective mfu, context) — everything else in the context
-        #: is static, so it only needs rebuilding when the MFU moves
-        #: (hot updates, degradations), not twice per training step.
-        self._ctx_cache: Optional[tuple] = None
+        #: (effective mfu, blocking, serialize, local delay seconds) —
+        #: everything else the save timings depend on is static, so
+        #: they only need recomputing when the MFU moves (hot updates,
+        #: degradations), not twice per training step.
+        self._timings: Optional[Tuple[float, float, float, float]] = None
         job.step_listeners.append(self._on_step)
         job.overhead_providers.append(self._blocking_overhead)
 
     # ------------------------------------------------------------------
-    def _context(self) -> CheckpointContext:
+    def _save_timings(self) -> Tuple[float, float, float, float]:
         mfu = self.job.mfu_model.current_mfu()
-        cached = self._ctx_cache
+        cached = self._timings
         if cached is not None and cached[0] == mfu:
-            return cached[1]
+            return cached
         ctx = CheckpointContext(
             shard_sizes=self.shard_sizes, tiers=self.tiers,
             base_step_s=self.job.mfu_model.step_time(
@@ -97,48 +103,57 @@ class CheckpointManager:
                     self.job.config.global_batch_size),
                 self.job.topology.world_size,
                 self.job.config.gpu_peak_tflops))
-        self._ctx_cache = (mfu, ctx)
-        return ctx
+        serialize = self.tiers.serialize_seconds(
+            self.shard_sizes.checkpoint_bytes)
+        cached = (mfu, self.strategy.blocking_seconds(ctx), serialize,
+                  self.strategy.async_tail_seconds(ctx) or serialize)
+        self._timings = cached
+        return cached
 
     def _blocking_overhead(self, step: int) -> float:
         if not self.enabled:
             return 0.0
-        return self.strategy.blocking_seconds(self._context())
+        return self._save_timings()[1]
 
     def _on_step(self, metrics: StepMetrics) -> None:
+        if self._marks:
+            self._settle()
         if not self.enabled:
             return
         self.saves_started += 1
-        ctx = self._context()
+        _, _, serialize, local_delay = self._save_timings()
         step = metrics.step
-        nbytes = self.shard_sizes.checkpoint_bytes
-        local_delay = (self.strategy.async_tail_seconds(ctx)
-                       or self.tiers.serialize_seconds(nbytes))
+        stamp = self.sim.stamp
+        marks = self._marks
         # local durability: after D2H + serialization complete
-        self.sim.schedule(self.tiers.serialize_seconds(nbytes),
-                          lambda: self._mark_local(step))
+        marks.append((stamp(serialize), _LOCAL, step))
         # backup durability: after the P2P exchange also lands
-        self.sim.schedule(local_delay, lambda: self._mark_backup(step))
-        if self.remote_every_steps > 0 and (
-                step % self.remote_every_steps == 0):
-            remote_delay = local_delay + self.tiers.remote_seconds(nbytes) \
-                if self.tiers.remote_available else None
-            if remote_delay is not None:
-                self.sim.schedule(remote_delay,
-                                  lambda: self._mark_remote(step))
+        marks.append((stamp(local_delay), _BACKUP, step))
+        if (self.remote_every_steps > 0
+                and step % self.remote_every_steps == 0
+                and self.tiers.remote_available):
+            marks.append((stamp(local_delay + self.tiers.remote_seconds(
+                self.shard_sizes.checkpoint_bytes)), _REMOTE, step))
 
-    def _mark_local(self, step: int) -> None:
-        for state in self.slot_states.values():
-            if step > state.local_step:
-                state.local_step = step
+    def _settle(self) -> None:
+        """Apply every durability mark whose time has come."""
+        reached = self.sim.reached
+        pending = []
+        for mark in self._marks:
+            if not reached(mark[0]):
+                pending.append(mark)
+            elif mark[1] == _LOCAL:
+                self._local_step = max(self._local_step, mark[2])
+            elif mark[1] == _BACKUP:
+                self._backup_step = max(self._backup_step, mark[2])
+            else:
+                self._remote_step = max(self._remote_step, mark[2])
+        self._marks = pending
 
-    def _mark_backup(self, step: int) -> None:
-        for state in self.slot_states.values():
-            if step > state.backup_step:
-                state.backup_step = step
-
-    def _mark_remote(self, step: int) -> None:
-        self.remote_step = max(self.remote_step, step)
+    def durable_steps(self) -> Tuple[int, int]:
+        """``(local_step, backup_step)`` durable on every slot now."""
+        self._settle()
+        return self._local_step, self._backup_step
 
     # ------------------------------------------------------------------
     # recovery
@@ -152,20 +167,22 @@ class CheckpointManager:
         the backup-holder machine was not evicted; otherwise only the
         remote tier remains for that slot.
         """
+        self._settle()
         evicted_slots = {
             slot for mid in evicted_machines
             for slot in [self.job.slot_of_machine(mid)] if slot is not None}
         best_step = None
         worst_source = RecoverySource.LOCAL_MEMORY
         nbytes = self.shard_sizes.checkpoint_bytes
-        for slot, state in self.slot_states.items():
+        for slot in range(self.job.num_machines):
             backup_slot = self._backup_holder_slot(slot)
             if slot not in evicted_slots:
-                step, source = state.local_step, RecoverySource.LOCAL_MEMORY
+                step, source = self._local_step, RecoverySource.LOCAL_MEMORY
             elif backup_slot not in evicted_slots:
-                step, source = state.backup_step, RecoverySource.PEER_BACKUP
-            elif self.tiers.remote_available and self.remote_step >= 0:
-                step, source = self.remote_step, RecoverySource.REMOTE_STORAGE
+                step, source = self._backup_step, RecoverySource.PEER_BACKUP
+            elif self.tiers.remote_available and self._remote_step >= 0:
+                step, source = (self._remote_step,
+                                RecoverySource.REMOTE_STORAGE)
             else:
                 step, source = -1, RecoverySource.NONE
             if best_step is None or step < best_step:
@@ -211,25 +228,20 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def rebind(self, restart_step: int,
                shard_sizes: Optional[ShardedStateSizes] = None) -> None:
-        """Re-derive the backup plan and slot table after an elastic
-        resize changed the job's topology (and with it the per-rank
-        shard sizes).  Every slot of the new layout holds the boundary
-        checkpoint it just loaded, mirroring :meth:`after_recovery`."""
+        """Re-derive the backup plan after an elastic resize changed the
+        job's topology (and with it the per-rank shard sizes).  Every
+        slot of the new layout holds the boundary checkpoint it just
+        loaded, mirroring :meth:`after_recovery`."""
         if shard_sizes is not None:
             self.shard_sizes = shard_sizes
         self.plan = plan_cross_group_backup(self.job.topology)
-        self.slot_states = {
-            slot: _SlotCheckpointState(local_step=restart_step,
-                                       backup_step=restart_step)
-            for slot in range(self.job.num_machines)}
-        self._ctx_cache = None
+        self.after_recovery(restart_step)
+        self._timings = None
 
     def after_recovery(self, restart_step: int) -> None:
-        """Reset durable state to the restarted step on every slot."""
-        for state in self.slot_states.values():
-            state.local_step = min(state.local_step, restart_step)
-            state.backup_step = min(state.backup_step, restart_step)
-        # A fresh copy now exists everywhere (the loaded checkpoint).
-        for state in self.slot_states.values():
-            state.local_step = max(state.local_step, restart_step)
-            state.backup_step = max(state.backup_step, restart_step)
+        """Reset durable state to the restarted step: a fresh copy (the
+        loaded checkpoint) now exists everywhere, and nothing newer
+        does.  Saves still in flight land later as usual."""
+        self._settle()
+        self._local_step = restart_step
+        self._backup_step = restart_step

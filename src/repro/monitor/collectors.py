@@ -12,13 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-import numpy as np
-
-from repro.cluster.health_index import use_vectorized
 from repro.sim import Simulator
-from repro.sim.columnar import ColumnarRing
-from repro.sim.ring import RingBuffer
-from repro.training.job import LogEvent, TrainingJob
+from repro.training.job import JobState, LogEvent, TrainingJob
 from repro.training.metrics import StepMetrics
 
 
@@ -29,19 +24,6 @@ class GaugeSample:
     tensorcore_util_frac: float
 
 
-#: Column layouts for the struct-of-arrays histories.  Field order must
-#: match the dataclass constructors — rows are rebuilt positionally.
-_STEP_COLUMNS = (
-    ("step", np.int64), ("time", np.float64), ("duration_s", np.float64),
-    ("loss", np.float64), ("grad_norm", np.float64),
-    ("mfu", np.float64), ("tokens", np.int64),
-)
-_GAUGE_COLUMNS = (
-    ("time", np.float64), ("rdma_traffic_frac", np.float64),
-    ("tensorcore_util_frac", np.float64),
-)
-
-
 @dataclass(frozen=True)
 class CollectorConfig:
     #: Gauge poll cadence (RDMA counters / DCGM utilization).
@@ -49,37 +31,19 @@ class CollectorConfig:
     #: Log tail cadence — bounds explicit-failure detection latency
     #: (the paper reports ~60 s detection via log indicators).
     log_interval_s: float = 30.0
-    #: History retention (samples); the ring buffers drop the oldest
-    #: sample once full, so month-long windows never reallocate.
-    max_samples: int = 100_000
 
 
 class MetricsCollector:
-    """Gathers step metrics, gauges, and logs from one training job."""
+    """Fans one training job's steps, gauges, and logs out to listeners.
+
+    It keeps no history: detectors hold whatever window they need.
+    """
 
     def __init__(self, sim: Simulator, job: TrainingJob,
                  config: Optional[CollectorConfig] = None):
         self.sim = sim
         self.job = job
         self.config = config or CollectorConfig()
-        cap = self.config.max_samples
-        # Deep histories (the default cap retains ~a month of steps) go
-        # columnar: typed numpy columns instead of one dataclass per
-        # row.  Below the substrate threshold — or with the substrate
-        # forced scalar, as the seed baseline does — the plain
-        # RingBuffer wins on constant factors and stays the reference
-        # behavior.  Logs hold strings, so they stay row-oriented.
-        if use_vectorized(cap):
-            self.steps = ColumnarRing(
-                cap, [f for f, _ in _STEP_COLUMNS],
-                [d for _, d in _STEP_COLUMNS], StepMetrics)
-            self.gauges = ColumnarRing(
-                cap, [f for f, _ in _GAUGE_COLUMNS],
-                [d for _, d in _GAUGE_COLUMNS], GaugeSample)
-        else:
-            self.steps = RingBuffer(cap)
-            self.gauges = RingBuffer(cap)
-        self.new_logs: RingBuffer = RingBuffer(cap)
         self._log_cursor = 0
         self._step_listeners: List[Callable[[StepMetrics], None]] = []
         self._gauge_listeners: List[Callable[[GaugeSample], None]] = []
@@ -120,9 +84,9 @@ class MetricsCollector:
         """Stop polling and detach from the job.
 
         Detaching the step subscription matters beyond hygiene: a
-        stopped collector that stays subscribed keeps appending every
-        later step to its history — and keeps the collector (and its
-        buffers) alive for as long as the job object lives, a leak per
+        stopped collector that stays subscribed keeps forwarding every
+        later step to its listeners — and keeps the collector (and its
+        listeners) alive for as long as the job object lives, a leak per
         stack teardown at fleet scale.
         """
         for task in self._tasks:
@@ -134,41 +98,28 @@ class MetricsCollector:
             pass
 
     # ------------------------------------------------------------------
-    # The dispatch loops copy the listener list (a listener may attach
-    # or detach another mid-dispatch) but only when there is someone to
-    # call: at fleet scale most collectors poll with no listeners at
-    # all, and the per-poll allocation is pure overhead.
+    # The dispatch loops copy the listener list: a listener may attach
+    # or detach another mid-dispatch.
     def _on_step(self, metrics: StepMetrics) -> None:
-        self.steps.append(metrics)
-        if self._step_listeners:
-            for fn in tuple(self._step_listeners):
-                fn(metrics)
+        for fn in tuple(self._step_listeners):
+            fn(metrics)
 
     def _poll_gauges(self) -> None:
+        job = self.job
+        # one read serves both gauges: utilization is the traffic
+        # fraction while running and zero otherwise
+        traffic = job.rdma_traffic_frac()
         sample = GaugeSample(
-            time=self.sim.now,
-            rdma_traffic_frac=self.job.rdma_traffic_frac(),
-            tensorcore_util_frac=self.job.tensorcore_util_frac())
-        self.gauges.append(sample)
-        if self._gauge_listeners:
-            for fn in tuple(self._gauge_listeners):
-                fn(sample)
+            time=self.sim.now, rdma_traffic_frac=traffic,
+            tensorcore_util_frac=(traffic if job.state is JobState.RUNNING
+                                  else 0.0))
+        for fn in tuple(self._gauge_listeners):
+            fn(sample)
 
     def _poll_logs(self) -> None:
-        while self._log_cursor < len(self.job.log_events):
-            event = self.job.log_events[self._log_cursor]
+        events = self.job.log_events
+        while self._log_cursor < len(events):
+            event = events[self._log_cursor]
             self._log_cursor += 1
-            self.new_logs.append(event)
-            if self._log_listeners:
-                for fn in tuple(self._log_listeners):
-                    fn(event)
-
-    # ------------------------------------------------------------------
-    def recent_steps(self, count: int) -> List[StepMetrics]:
-        return self.steps.recent(count)
-
-    def gauge_window(self, window_s: float) -> List[GaugeSample]:
-        # samples are appended in time order, so the window is a suffix:
-        # scan from the newest backwards, O(window) not O(history)
-        cutoff = self.sim.now - window_s
-        return self.gauges.tail_while(lambda g: g.time >= cutoff)
+            for fn in tuple(self._log_listeners):
+                fn(event)

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, field
-from statistics import median
-from typing import Callable, List, Optional
+from typing import Callable, Deque, List, Optional
 
 from repro.monitor.collectors import GaugeSample, MetricsCollector
 from repro.sim import Simulator
@@ -69,6 +70,11 @@ class DetectorConfig:
     #: Window the decline must persist for.
     mfu_decline_window_s: float = 120.0
 
+    def __post_init__(self) -> None:
+        if self.spike_history < 1:
+            raise ValueError(
+                f"spike_history must be positive: {self.spike_history}")
+
 
 class AnomalyDetector:
     """Subscribes to a collector and emits :class:`AnomalyEvent`s."""
@@ -80,7 +86,14 @@ class AnomalyDetector:
         self.config = config or DetectorConfig()
         self.anomalies: List[AnomalyEvent] = []
         self._listeners: List[Callable[[AnomalyEvent], None]] = []
-        self._loss_history: List[float] = []
+        # The last spike_history losses, in arrival order and sorted, so
+        # the trailing median is two index reads.  _loss_count follows
+        # the length of the history list the detector used to keep
+        # (trimmed by spike_history once past 4x it): the 8-sample
+        # warm-up gate reads it, which matters for windows below 3.
+        self._loss_window: Deque[float] = deque()
+        self._loss_sorted: List[float] = []
+        self._loss_count = 0
         self._zero_rdma_since: Optional[float] = None
         self._low_mfu_since: Optional[float] = None
         self._hang_reported = False
@@ -115,15 +128,27 @@ class AnomalyDetector:
             self._emit(AnomalyKind.NAN_METRIC,
                        detail=f"NaN at step {metrics.step}")
             return
-        if len(self._loss_history) >= 8:
-            baseline = median(self._loss_history[-self.config.spike_history:])
-            if metrics.loss >= self.config.spike_factor * baseline:
+        loss = metrics.loss
+        history = self.config.spike_history
+        ordered = self._loss_sorted
+        if self._loss_count >= 8:
+            # statistics.median's odd/even formula over the same values
+            n = len(ordered)
+            mid = n // 2
+            baseline = (ordered[mid] if n % 2
+                        else (ordered[mid - 1] + ordered[mid]) / 2)
+            if loss >= self.config.spike_factor * baseline:
                 self._emit(AnomalyKind.LOSS_SPIKE,
-                           detail=(f"loss {metrics.loss:.3f} vs median "
+                           detail=(f"loss {loss:.3f} vs median "
                                    f"{baseline:.3f} at step {metrics.step}"))
-        self._loss_history.append(metrics.loss)
-        if len(self._loss_history) > 4 * self.config.spike_history:
-            del self._loss_history[:self.config.spike_history]
+        window = self._loss_window
+        if len(window) == history:
+            del ordered[bisect_left(ordered, window.popleft())]
+        window.append(loss)
+        insort(ordered, loss)
+        self._loss_count += 1
+        if self._loss_count > 4 * history:
+            self._loss_count -= history
 
     def _on_gauge(self, sample: GaugeSample) -> None:
         cfg = self.config

@@ -20,7 +20,7 @@ the seed behavior of every hot path this PR optimized:
   draws and health sweeps take the per-machine reference loops
   instead of the struct-of-arrays masks.
 
-Everything else (collector ring buffers, scenario wiring) is left in
+Everything else (the metrics collector, scenario wiring) is left in
 place: its wall-clock contribution is negligible at benchmark scales,
 and keeping the patch surface small keeps the baseline trustworthy.
 Both modes produce byte-identical reports — the equivalence suite

@@ -22,20 +22,16 @@ from repro.sim.engine import (
     TickGroup,
     TickMember,
 )
-from repro.sim.columnar import ColumnarRing
 from repro.sim.events import Event, Timeout
 from repro.sim.process import Process, ProcessExit
-from repro.sim.ring import RingBuffer
 from repro.sim.rng import RngStreams
 
 __all__ = [
-    "ColumnarRing",
     "Event",
     "EventHandle",
     "PeriodicTask",
     "Process",
     "ProcessExit",
-    "RingBuffer",
     "RngStreams",
     "Simulator",
     "TickGroup",

@@ -14,14 +14,16 @@ event, and one heap push per periodic tick.  It exists for two reasons:
 
 Apart from the ``every_tick`` shim (which maps onto per-task
 ``ReferencePeriodicTask`` loops, i.e. the seed semantics for the same
-call), nothing here should ever change.
+call) and ``stamp``/``reached`` (which reserve an event's place without
+queueing it, for callers that also run on this engine), nothing here
+should ever change.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.engine import SimulationError
 
@@ -68,6 +70,7 @@ class ReferenceSimulator:
         self._seq = itertools.count()
         self._running = False
         self._pending = 0
+        self._current: Optional[ReferenceEventHandle] = None
 
     @property
     def now(self) -> float:
@@ -90,6 +93,23 @@ class ReferenceSimulator:
         self._pending += 1
         return handle
 
+    def stamp(self, delay: float, priority: int = 0) -> Tuple[float, int, int]:
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past: {delay}")
+        time = self._now + delay
+        current = self._current
+        if (current is not None and time == current.time
+                and priority < current.priority):
+            raise SimulationError(
+                "cannot stamp before the event being dispatched")
+        return (time, priority, next(self._seq))
+
+    def reached(self, stamp: Tuple[float, int, int]) -> bool:
+        current = self._current
+        if current is None:
+            return stamp[0] <= self._now
+        return stamp < (current.time, current.priority, current.seq)
+
     def peek(self) -> Optional[float]:
         self._drop_cancelled()
         return self._queue[0].time if self._queue else None
@@ -108,7 +128,11 @@ class ReferenceSimulator:
         if handle.time < self._now:  # pragma: no cover - invariant guard
             raise SimulationError("event queue went backwards in time")
         self._now = handle.time
-        handle.callback()
+        self._current = handle
+        try:
+            handle.callback()
+        finally:
+            self._current = None
         return True
 
     def run(self, until: Optional[float] = None,

@@ -113,6 +113,8 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self._pending = 0
+        #: The entry being dispatched, or None between events.
+        self._current: Optional[list] = None
         #: (interval, priority) -> joinable TickGroup.
         self._tick_groups: Dict[Tuple[float, int], "TickGroup"] = {}
 
@@ -138,6 +140,45 @@ class Simulator:
         heappush(self._queue, entry)
         self._pending += 1
         return EventHandle(entry, self)
+
+    def stamp(self, delay: float, priority: int = 0) -> Tuple[float, int, int]:
+        """Reserve the ``(time, priority, seq)`` place that
+        ``schedule(delay, ..., priority)`` would give an event, without
+        queueing one.
+
+        For delayed updates whose only effect is to raise a value: the
+        owner keeps the stamp and applies the update once
+        :meth:`reached` says the event would have run.  The seq comes
+        from the same counter, so every real event keeps its seq and
+        tie order.  A stamp may not order before the entry being
+        dispatched (zero delay at a lower priority): that event would
+        run right after the current one, which no comparison with the
+        current entry can tell.
+        """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past: {delay}")
+        time = self._now + delay
+        current = self._current
+        if (current is not None and time == current[0]
+                and priority < current[1]):
+            raise SimulationError(
+                "cannot stamp before the event being dispatched")
+        return (time, priority, next(self._seq))
+
+    def reached(self, stamp: Tuple[float, int, int]) -> bool:
+        """Whether an event placed at ``stamp`` would already have run:
+        it orders before the entry being dispatched, or, between runs,
+        its time is not after ``now`` (so a zero-delay stamp taken
+        between runs counts as reached at once).
+
+        Exact while entries run in key order, which holds unless some
+        callback schedules an event at its own instant with a lower
+        priority than its own.
+        """
+        current = self._current
+        if current is None:
+            return stamp[0] <= self._now
+        return stamp < (current[0], current[1], current[2])
 
     def _push_entry(self, time: float, priority: int,
                     callback: Callable[[], Any]) -> list:
@@ -179,7 +220,11 @@ class Simulator:
         if entry[0] < self._now:  # pragma: no cover - invariant guard
             raise SimulationError("event queue went backwards in time")
         self._now = entry[0]
-        callback()
+        self._current = entry
+        try:
+            callback()
+        finally:
+            self._current = None
         return True
 
     def run(self, until: Optional[float] = None,
@@ -217,10 +262,12 @@ class Simulator:
                 head[3] = None
                 self._pending -= 1
                 self._now = head[0]
+                self._current = head
                 callback()
                 executed += 1
         finally:
             self._running = False
+            self._current = None
         if until is not None and until > self._now:
             self._now = until
         return executed

@@ -114,6 +114,10 @@ class TrainingJob:
         self.overhead_providers: List[Callable[[int], float]] = []
         self._completion_handle = None
         self._step_started_at: Optional[float] = None
+        #: (MFU it was computed at, base step seconds); rebind_parallelism
+        #: drops it because the world size changes
+        self._base_step: Optional[tuple] = None
+        self._tokens_per_step = config.global_batch_size * config.model.seq_len
         self._injector = injector
         if injector is not None:
             injector.add_listener(self._on_fault_event)
@@ -176,6 +180,7 @@ class TrainingJob:
                 f"got {len(machine_ids)}")
         self.config.parallelism = parallelism
         self.topology = RankTopology(parallelism)
+        self._base_step = None
         self.slot_to_machine = dict(enumerate(machine_ids))
         self._machines_cache = None
         self._machine_to_slot = None
@@ -252,12 +257,19 @@ class TrainingJob:
     # stepping
     # ------------------------------------------------------------------
     def step_time(self) -> float:
-        base = self.mfu_model.step_time(
-            self.config.model.flops_per_step(self.config.global_batch_size),
-            self.topology.world_size, self.config.gpu_peak_tflops)
-        overhead = sum(p(self.current_step + 1)
-                       for p in self.overhead_providers)
-        return base + overhead
+        mfu = self.mfu_model.current_mfu()
+        cached = self._base_step
+        if cached is None or cached[0] != mfu:
+            cached = (mfu, self.mfu_model.step_time(
+                self.config.model.flops_per_step(
+                    self.config.global_batch_size),
+                self.topology.world_size, self.config.gpu_peak_tflops))
+            self._base_step = cached
+        overhead = 0
+        step = self.current_step + 1
+        for provider in self.overhead_providers:
+            overhead += provider(step)
+        return cached[1] + overhead
 
     def _schedule_step(self) -> None:
         self._step_started_at = self.sim.now
@@ -288,8 +300,7 @@ class TrainingJob:
                 self.current_step, nan=self.nan_active,
                 spike_factor=self.loss_spike_factor),
             mfu=self.mfu_model.current_mfu(),
-            tokens=(self.config.global_batch_size
-                    * self.config.model.seq_len),
+            tokens=self._tokens_per_step,
         )
         for listener in list(self.step_listeners):
             listener(metrics)

@@ -156,12 +156,26 @@ class CodeVersionProfile:
 
 
 class MfuModel:
-    """Combines the code version's base MFU with degradation factors."""
+    """Combines the code version's base MFU with degradation factors.
+
+    The effective MFU is read on every training step and gauge poll but
+    changes only on a hot update or a degradation, so it is stored and
+    recomputed by each writer (profiles are treated as immutable).
+    """
 
     def __init__(self, initial_profile: Optional[CodeVersionProfile] = None):
-        self.profile = initial_profile or CodeVersionProfile("v0", 0.30)
         #: Named multiplicative degradations (e.g. "thermal" → 0.6).
         self._degradations: Dict[str, float] = {}
+        self.profile = initial_profile or CodeVersionProfile("v0", 0.30)
+
+    @property
+    def profile(self) -> CodeVersionProfile:
+        return self._profile
+
+    @profile.setter
+    def profile(self, profile: CodeVersionProfile) -> None:
+        self._profile = profile
+        self._refresh()
 
     def set_profile(self, profile: CodeVersionProfile) -> None:
         self.profile = profile
@@ -170,19 +184,26 @@ class MfuModel:
         if not 0.0 < factor <= 1.0:
             raise ValueError(f"degradation factor must be in (0,1]: {factor}")
         self._degradations[name] = factor
+        self._refresh()
 
     def clear_degradation(self, name: str) -> None:
         self._degradations.pop(name, None)
+        self._refresh()
+
+    def _refresh(self) -> None:
+        # left to right in insertion order: payload digests pin the
+        # exact float this product rounds to
+        mfu = self._profile.base_mfu
+        for factor in self._degradations.values():
+            mfu *= factor
+        self._mfu = mfu
 
     @property
     def degradations(self) -> Dict[str, float]:
         return dict(self._degradations)
 
     def current_mfu(self) -> float:
-        mfu = self.profile.base_mfu
-        for factor in self._degradations.values():
-            mfu *= factor
-        return mfu
+        return self._mfu
 
     def step_time(self, flops_per_step: float, num_gpus: int,
                   gpu_peak_tflops: float) -> float:

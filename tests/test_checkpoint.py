@@ -203,9 +203,9 @@ class TestCheckpointManager:
         sim, job, manager = manager_env()
         job.start()
         sim.run(until=job.step_time() * 3 + 5.0)
-        state = manager.slot_states[0]
-        assert state.local_step >= 2
-        assert state.backup_step >= 2
+        local_step, backup_step = manager.durable_steps()
+        assert local_step >= 2
+        assert backup_step >= 2
 
     def test_blocking_overhead_added_to_step(self):
         sim, job, manager = manager_env()
@@ -266,9 +266,39 @@ class TestCheckpointManager:
         job.start()
         sim.run(until=job.step_time() * 5 + 5.0)
         manager.after_recovery(3)
-        for state in manager.slot_states.values():
-            assert state.local_step == 3
-            assert state.backup_step == 3
+        assert manager.durable_steps() == (3, 3)
+
+    def test_durable_pair_matches_event_scheduled_marks(self):
+        """Durability marks are stamps, not events: between runs the
+        pair must equal what mark events at the same delays produce,
+        including saves still in flight across a recovery."""
+        sim, job, manager = manager_env()
+        shadow = [-1, -1]
+
+        def mark(tier, step):
+            shadow[tier] = max(shadow[tier], step)
+
+        def shadow_save(metrics):
+            _, _, serialize, local_delay = manager._save_timings()
+            sim.schedule(serialize, lambda: mark(0, metrics.step))
+            sim.schedule(local_delay, lambda: mark(1, metrics.step))
+
+        job.step_listeners.append(shadow_save)
+        job.start()
+        tick = job.step_time() / 20
+        recoveries = []
+        for i in range(1, 300):
+            sim.run(until=i * tick)
+            # at step 8 its marks are still in flight and must land
+            # after the reset, as events would; at step 12 they have
+            # landed (unread) and must not outlive the reset
+            if (job.current_step, shadow) in ((8, [7, 7]), (12, [12, 12])) \
+                    and job.current_step not in recoveries:
+                recoveries.append(job.current_step)
+                manager.after_recovery(3)
+                shadow[:] = [3, 3]
+            assert manager.durable_steps() == tuple(shadow)
+        assert recoveries == [8, 12] and shadow[0] > 12
 
     def test_every_step_checkpointing_loses_at_most_one_step(self):
         sim, job, manager = manager_env()

@@ -1,6 +1,12 @@
 """Unit tests for inspections, collectors, and anomaly detectors."""
 
+import math
+import random
+import statistics
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster, ClusterSpec, Fault, FaultInjector
 from repro.cluster.faults import (
@@ -21,6 +27,8 @@ from repro.monitor.detectors import DetectorConfig
 from repro.parallelism import ParallelismConfig
 from repro.sim import Simulator
 from repro.training import TrainingJob, TrainingJobConfig
+from repro.training.job import JobState
+from repro.training.metrics import StepMetrics
 from repro.training.model import ModelSpec
 
 
@@ -183,12 +191,16 @@ class TestMetricsCollector:
     def test_collects_steps_and_gauges(self):
         sim, cluster, inj, job = setup_env()
         collector = MetricsCollector(sim, job)
+        steps, gauges = [], []
+        collector.on_step(steps.append)
+        collector.on_gauge(gauges.append)
         collector.start()
         job.start()
         sim.run(until=job.step_time() * 3 + 1)
-        assert len(collector.steps) == 3
-        assert collector.gauges
-        assert collector.gauges[-1].rdma_traffic_frac == pytest.approx(1.0)
+        assert [m.step for m in steps] == [1, 2, 3]
+        assert gauges
+        assert gauges[-1].rdma_traffic_frac == pytest.approx(1.0)
+        assert gauges[-1].tensorcore_util_frac == gauges[-1].rdma_traffic_frac
 
     def test_log_tail_latency_bounded_by_interval(self):
         sim, cluster, inj, job = setup_env()
@@ -208,14 +220,38 @@ class TestMetricsCollector:
         # crash at t=45, next log sweep at t=60
         assert 45.0 < seen[0].time + 1e-9 <= 75.0
 
-    def test_gauge_window(self):
+    def test_gauge_samples_match_job_gauges_in_every_state(self):
+        """A poll reads the traffic fraction once; each sample must
+        still equal the job's own gauges while running, degraded, hung
+        (traffic draining, utilization zero) and crashed."""
         sim, cluster, inj, job = setup_env()
         collector = MetricsCollector(sim, job)
+        seen = []
+        collector.on_gauge(lambda g: seen.append(
+            (job.state, g.rdma_traffic_frac, g.tensorcore_util_frac,
+             job.rdma_traffic_frac(), job.tensorcore_util_frac())))
         collector.start()
         job.start()
+        sim.schedule(25.0, lambda: job.mfu_model.set_degradation(
+            "thermal", 0.6))
+        sim.schedule(45.0, lambda: inj.inject(Fault(
+            symptom=FaultSymptom.JOB_HANG,
+            root_cause=RootCause.INFRASTRUCTURE,
+            detail=RootCauseDetail.UFM_FAULT, effect=JobEffect.HANG)))
+        sim.schedule(72.0, lambda: inj.inject(Fault(
+            symptom=FaultSymptom.CUDA_ERROR,
+            root_cause=RootCause.INFRASTRUCTURE,
+            detail=RootCauseDetail.GPU_HBM_FAULT, machine_ids=[1])))
         sim.run(until=100.0)
-        recent = collector.gauge_window(30.0)
-        assert all(g.time >= 70.0 for g in recent)
+        states = {state for state, *_ in seen}
+        assert {JobState.RUNNING, JobState.HUNG,
+                JobState.CRASHED} <= states
+        for _, rdma, util, job_rdma, job_util in seen:
+            assert (rdma, util) == (job_rdma, job_util)
+        assert any(state is JobState.RUNNING and 0.0 < util < 1.0
+                   for state, _, util, *_ in seen)      # degraded
+        assert any(0.0 < rdma < 1.0 and util == 0.0
+                   for _, rdma, util, *_ in seen)       # hang draining
 
     def test_stop_detaches_step_listener(self):
         sim, cluster, inj, job = setup_env()
@@ -230,26 +266,28 @@ class TestMetricsCollector:
 
     def test_shutdown_releases_collector_subscription(self):
         """ManagementStack.shutdown() must leave no collector callback
-        on the job: a retired stack that stays subscribed keeps
-        accumulating history (and is kept alive by the job) forever."""
+        on the job: a retired stack that stays subscribed keeps feeding
+        its detectors (and is kept alive by the job) forever."""
         from repro.core.byterobust import ByteRobustSystem, SystemConfig
         from repro.workloads.fleet import fleet_job_config
 
         system = ByteRobustSystem(SystemConfig(job=fleet_job_config(2)))
+        steps = []
+        system.stack.collector.on_step(steps.append)
         system.start()
         system.sim.run(until=120.0)
         stack = system.stack
         assert stack.collector._on_step in stack.job.step_listeners
-        collected = len(stack.collector.steps)
+        collected = len(steps)
         assert collected > 0
         stack.shutdown()
         assert stack.collector._on_step not in stack.job.step_listeners
         # even if something force-restarts the job later, the retired
-        # collector's history no longer grows
+        # collector's listeners get no more steps
         stack.job.restart(from_step=stack.job.current_step)
         system.sim.run(until=600.0)
         assert stack.job.current_step > collected
-        assert len(stack.collector.steps) == collected
+        assert len(steps) == collected
 
 
 class TestAnomalyDetector:
@@ -379,3 +417,93 @@ class TestAnomalyDetector:
             detail=RootCauseDetail.UFM_FAULT, effect=JobEffect.HANG)))
         sim.run(until=600.0)
         assert sum(e.kind is AnomalyKind.HANG_SUSPECT for e in events) == 2
+
+
+class _StepFeed:
+    """Collector stand-in: hands the detector's step callback back."""
+
+    def __init__(self):
+        self.step_fns = []
+
+    def on_step(self, fn):
+        self.step_fns.append(fn)
+
+    def on_gauge(self, fn):
+        pass
+
+    def on_log(self, fn):
+        pass
+
+
+#: a few levels so medians tie and spikes land exactly on the 5x
+#: threshold, plus large spikes and NaN loss / grad-norm steps
+_nan = float("nan")
+_LEVELS = [1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+_SPIKES = [5.0, 6.25, 7.5, 10.0, 12.5, 15.0, 20.0, 60.0]
+_NANS = [(_nan, 0.4), (2.0, _nan), (_nan, _nan)]
+_step_values = st.one_of(
+    st.sampled_from(_LEVELS), st.sampled_from(_LEVELS),
+    st.sampled_from(_SPIKES), st.floats(min_value=0.5, max_value=20.0),
+).map(lambda loss: (loss, 0.4)) | st.sampled_from(_NANS)
+
+
+def _check_spikes_against_reference(steps, spike_history):
+    """Step by step, the detector must act like the rule over a plain
+    history list (trimmed the way the detector used to trim it) with
+    ``statistics.median`` of its last ``spike_history`` values."""
+    config = DetectorConfig(spike_history=spike_history)
+    feed = _StepFeed()
+    detector = AnomalyDetector(Simulator(), feed, config)
+    (on_step,) = feed.step_fns
+    history = []
+    for step, (loss, grad_norm) in enumerate(steps, start=1):
+        expected = []
+        if math.isnan(loss) or math.isnan(grad_norm):
+            expected.append((AnomalyKind.NAN_METRIC, f"NaN at step {step}"))
+        else:
+            if len(history) >= 8:
+                baseline = statistics.median(history[-spike_history:])
+                if loss >= config.spike_factor * baseline:
+                    expected.append((
+                        AnomalyKind.LOSS_SPIKE,
+                        f"loss {loss:.3f} vs median {baseline:.3f} "
+                        f"at step {step}"))
+            history.append(loss)
+            if len(history) > 4 * spike_history:
+                del history[:spike_history]
+        seen = len(detector.anomalies)
+        on_step(StepMetrics(step=step, time=float(step), duration_s=1.0,
+                            loss=loss, grad_norm=grad_norm, mfu=0.3,
+                            tokens=1))
+        assert [(e.kind, e.detail)
+                for e in detector.anomalies[seen:]] == expected
+        # the exact values the next baseline is taken over
+        assert detector._loss_sorted == sorted(history[-spike_history:])
+    return detector
+
+
+class TestSpikeMedianMatchesReference:
+    @given(steps=st.lists(_step_values, max_size=400),
+           # windows under 3 hit the warm-up gate's trim arithmetic
+           spike_history=st.one_of(st.integers(min_value=1, max_value=3),
+                                   st.integers(min_value=1, max_value=64)))
+    @settings(max_examples=200, deadline=None)
+    def test_spike_decisions_and_baselines(self, steps, spike_history):
+        _check_spikes_against_reference(steps, spike_history)
+
+    @pytest.mark.parametrize("spike_history", range(1, 65))
+    def test_every_window_on_a_long_run(self, spike_history):
+        rng = random.Random(spike_history)
+        steps = [rng.choice(_NANS) if rng.random() < 0.03
+                 else (rng.choice(_SPIKES if rng.random() < 0.1
+                                  else _LEVELS), 0.4)
+                 for _ in range(600)]
+        detector = _check_spikes_against_reference(steps, spike_history)
+        kinds = {e.kind for e in detector.anomalies}
+        assert AnomalyKind.NAN_METRIC in kinds
+        if spike_history > 1:
+            assert AnomalyKind.LOSS_SPIKE in kinds
+
+    def test_rejects_empty_window(self):
+        with pytest.raises(ValueError):
+            DetectorConfig(spike_history=0)

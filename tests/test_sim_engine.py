@@ -1,8 +1,13 @@
 """Unit tests for the discrete-event simulator kernel."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
+from repro.sim._reference import ReferenceSimulator
 from repro.sim.engine import SimulationError
 
 
@@ -270,3 +275,100 @@ def test_stop_periodic_from_its_own_callback():
     holder["task"] = sim.every(5.0, tick)
     sim.run(until=100.0)
     assert ticks == [5.0, 10.0]
+
+
+# ---------------------------------------------------------------------------
+# stamp() / reached(): an event's place in the order, without the event
+# ---------------------------------------------------------------------------
+
+def _stamp_twin(engine_cls, seed, use_stamps):
+    """Drive one random tie-heavy schedule.  With ``use_stamps`` every
+    "mark" is a ``stamp()``; otherwise it is a sentinel event scheduled
+    at the same point, which takes the same (time, priority, seq) place.
+    Both twins call the RNG in the same order, so they run the same
+    non-sentinel callbacks in the same order.  Each observation lists,
+    per mark so far, ``reached(stamp)`` or whether the sentinel fired."""
+    sim = engine_cls()
+    rng = random.Random(seed)
+    stamps, fired, observations = [], [], []
+    budget = [60]
+
+    def observe():
+        if use_stamps:
+            observations.append([sim.reached(s) for s in stamps])
+        else:
+            observations.append(list(fired))
+
+    def spawn(floor):
+        for _ in range(rng.randint(0, 3)):
+            delay = rng.choice([0.0, 0.0, 0.5, 1.0, 1.0, 2.0])
+            priority = rng.choice([0, 0, 1, -1])
+            if delay == 0.0:
+                # nothing orders before the entry being dispatched, so
+                # the run dispatches in key order (reached()'s premise)
+                priority = max(priority, floor)
+            if rng.random() < 0.5 and budget[0] > 0:
+                budget[0] -= 1
+                sim.schedule(delay, lambda p=priority: on_event(p), priority)
+            elif use_stamps:
+                stamps.append(sim.stamp(delay, priority))
+            else:
+                fired.append(False)
+                sim.schedule(delay, lambda i=len(fired) - 1:
+                             fired.__setitem__(i, True), priority)
+
+    def on_event(priority):
+        observe()
+        spawn(priority)
+        observe()
+
+    spawn(-1)
+    for until in (0.0, 0.5, 1.5, 3.0, 6.0, 12.0, 40.0):
+        sim.run(until=until)
+        observe()                       # between runs: time <= now
+        # the run may have ended on a priority-1 entry at this instant,
+        # so zero-delay items spawned now take the top priority
+        spawn(1)
+    return observations
+
+
+@pytest.mark.parametrize("engine", ["fast", "reference"])
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_reached_matches_a_sentinel_at_the_stamp(engine, seed):
+    engine_cls = Simulator if engine == "fast" else ReferenceSimulator
+    with_stamps = _stamp_twin(engine_cls, seed, use_stamps=True)
+    with_sentinels = _stamp_twin(engine_cls, seed, use_stamps=False)
+    assert with_stamps == with_sentinels
+
+
+@pytest.mark.parametrize("engine_cls", [Simulator, ReferenceSimulator])
+def test_stamp_reserves_the_seq_schedule_would_take(engine_cls):
+    sim = engine_cls()
+    first = sim.schedule(1.0, lambda: None)
+    stamp = sim.stamp(1.0)
+    last = sim.schedule(1.0, lambda: None)
+    assert stamp == (1.0, 0, first.seq + 1)
+    assert last.seq == first.seq + 2
+    assert sim.pending_count() == 2     # a stamp queues nothing
+    assert not sim.reached(stamp)
+    with pytest.raises(SimulationError):
+        sim.stamp(-1.0)
+    # inside a dispatch, a place right after the current entry is fine;
+    # one before it (same instant, lower priority) is refused
+    errors = []
+
+    def stamp_around_current():
+        sim.stamp(0.0, priority=1)
+        try:
+            sim.stamp(0.0, priority=0)
+        except SimulationError as exc:
+            errors.append(exc)
+
+    sim.schedule(0.5, stamp_around_current, priority=1)
+    seen = []
+    sim.schedule_at(1.0, lambda: seen.append(sim.reached(stamp)))
+    sim.run(until=1.0)
+    assert len(errors) == 1
+    assert seen == [True]               # scheduled after the stamp
+    assert sim.reached(stamp)

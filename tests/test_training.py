@@ -436,6 +436,80 @@ class TestTrainingJob:
             100 - 0.1 + step - step, abs=1.0)
 
 
+def fresh_mfu(model):
+    """Effective MFU recomputed from the profile and degradations."""
+    mfu = model.profile.base_mfu
+    for factor in model.degradations.values():
+        mfu *= factor
+    return mfu
+
+
+def fresh_step_time(job):
+    """Step seconds recomputed afresh: no cached value involved."""
+    cfg = job.config
+    achieved = (job.topology.world_size * cfg.gpu_peak_tflops * 1e12
+                * fresh_mfu(job.mfu_model))
+    base = cfg.model.flops_per_step(cfg.global_batch_size) / achieved
+    return base + sum(p(job.current_step + 1)
+                      for p in job.overhead_providers)
+
+
+class TestStepTimeCache:
+    """The stored MFU and the cached base step time must follow every
+    write path: each check runs right after a write, with the caches
+    warm from the value before it."""
+
+    def check(self, job):
+        assert job.mfu_model.current_mfu() == fresh_mfu(job.mfu_model)
+        assert job.step_time() == fresh_step_time(job)
+
+    def test_every_mfu_write_path_and_rebind(self):
+        sim = Simulator()
+        cluster = Cluster(ClusterSpec(num_machines=8, machines_per_switch=4))
+        inj = FaultInjector(sim, cluster)
+        job = small_job(sim, injector=inj)
+        job.overhead_providers.append(lambda step: 0.25)
+        model = job.mfu_model
+        self.check(job)
+        model.set_profile(CodeVersionProfile("v1", 0.45))
+        self.check(job)
+        model.profile = CodeVersionProfile("v2", 0.5)
+        self.check(job)
+        model.set_degradation("thermal", 0.6)
+        self.check(job)
+        model.set_degradation("thermal", 0.8)       # overwrite in place
+        self.check(job)
+        model.set_degradation("pcie", 0.9)
+        self.check(job)
+        model.clear_degradation("thermal")
+        self.check(job)
+        model.clear_degradation("missing")
+        self.check(job)
+        # a SLOW fault that clears while the job is down leaves a stale
+        # degradation that only restart()'s recomputation removes
+        job.start()
+        fault = inj.inject(Fault(
+            symptom=FaultSymptom.MFU_DECLINE,
+            root_cause=RootCause.INFRASTRUCTURE,
+            detail=RootCauseDetail.GPU_HIGH_TEMPERATURE, machine_ids=[0],
+            effect=JobEffect.SLOW))
+        assert f"fault:{fault.fault_id}" in model.degradations
+        self.check(job)
+        job.suspend()
+        inj.clear(fault)
+        assert f"fault:{fault.fault_id}" in model.degradations
+        self.check(job)
+        job.restart(from_step=0)
+        assert f"fault:{fault.fault_id}" not in model.degradations
+        self.check(job)
+        # elastic resize: same MFU, twice the world size
+        job.suspend()
+        job.rebind_parallelism(
+            ParallelismConfig(tp=2, pp=2, dp=4, gpus_per_machine=2),
+            list(range(8)))
+        self.check(job)
+
+
 class TestRecipe:
     def test_standard_recipe_fractions_sum(self):
         recipe = standard_five_stage_recipe()
